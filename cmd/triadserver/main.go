@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		traceKeep   = fs.Int("trace-keep", 256, "finished traces retained in the TRACE ring")
 		cursorTTL   = fs.Duration("cursor-ttl", 60*time.Second, "close idle SCAN cursors (and release their pinned snapshots) after this long")
 		maxCursors  = fs.Int("max-cursors", 16, "cap on open SCAN cursors per connection")
-		bgWorkers   = fs.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2; negative: legacy two goroutines per shard)")
+		bgWorkers   = fs.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2; must not be negative)")
 		subcomp     = fs.Int("subcompactions", 0, "max parallel slices one leveled compaction may split into (0: up to the pool size; 1: monolithic)")
 	)
 	if err := fs.Parse(args); err != nil {

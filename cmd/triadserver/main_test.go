@@ -229,15 +229,24 @@ func TestServerSmoke(t *testing.T) {
 
 // TestBadFlags: configuration errors are exit code 1/2, not hangs.
 func TestBadFlags(t *testing.T) {
-	var stdout, stderr syncBuffer
-	if code := run([]string{"-partitioner", "bogus"}, &stdout, &stderr, nil); code != 1 {
-		t.Fatalf("bogus partitioner: exit %d", code)
-	}
-	if code := run([]string{"-partitioner", "range"}, &stdout, &stderr, nil); code != 1 {
-		t.Fatalf("range without splits: exit %d", code)
-	}
-	if code := run([]string{"-not-a-flag"}, &stdout, &stderr, nil); code != 2 {
-		t.Fatalf("unknown flag: exit %d", code)
+	for _, c := range []struct {
+		name string
+		args []string
+		code int
+		want string // substring of stderr
+	}{
+		{"bogus partitioner", []string{"-partitioner", "bogus"}, 1, "bogus"},
+		{"range without splits", []string{"-partitioner", "range"}, 1, "range"},
+		{"negative pool size", []string{"-bg-workers", "-1"}, 1, "BackgroundWorkers is -1"},
+		{"unknown flag", []string{"-not-a-flag"}, 2, "not-a-flag"},
+	} {
+		var stdout, stderr syncBuffer
+		if code := run(c.args, &stdout, &stderr, nil); code != c.code {
+			t.Fatalf("%s: exit %d, want %d\nstderr: %s", c.name, code, c.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Fatalf("%s: stderr %q does not mention %q", c.name, stderr.String(), c.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package bgsched is the store-wide background I/O scheduler: one
-// bounded worker pool shared by every shard's engine, replacing the
-// seed's two-goroutines-per-DB background plane.
+// Package bgsched is the background I/O scheduler: a bounded worker
+// pool that runs every engine's flushes and compactions. A sharded
+// store shares one pool across its shards; an engine opened without
+// one builds a private pool of its own.
 //
 // The pool dispatches by priority class — flushes first (they unblock
 // write stalls directly), then compaction slices (finishing an
@@ -67,7 +68,7 @@ func (c Class) String() string {
 // DefaultWorkers sizes a pool for a store of the given shard count:
 // min(GOMAXPROCS, shards+2), floored at 2 so a lone flush can always
 // overlap a running compaction's (simulated or real) I/O waits — the
-// property the seed's dedicated flush goroutine provided.
+// split RocksDB draws with separate flush and compaction threads.
 func DefaultWorkers(shards int) int {
 	w := runtime.GOMAXPROCS(0)
 	if s := shards + 2; s < w {

@@ -38,11 +38,13 @@ func TestPriorityOrder(t *testing.T) {
 	}
 
 	// Occupy the single worker so the queue builds up, then submit in
-	// reverse priority order.
-	gate := make(chan struct{})
-	if !o.Submit(ClassDeep, 0, func() { <-gate }) {
+	// reverse priority order. Waiting for the blocker to start keeps the
+	// worker from popping an early submission before the queue is full.
+	gate, started := make(chan struct{}), make(chan struct{})
+	if !o.Submit(ClassDeep, 0, func() { close(started); <-gate }) {
 		t.Fatal("submit failed")
 	}
+	<-started
 	for _, c := range []Class{ClassDeep, ClassL0, ClassSlice, ClassFlush} {
 		if !o.Submit(c, 0, record(c)) {
 			t.Fatalf("submit %v failed", c)
@@ -72,8 +74,9 @@ func TestShardFairness(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []int
-	gate := make(chan struct{})
-	o.Submit(ClassDeep, 9, func() { <-gate })
+	gate, started := make(chan struct{}), make(chan struct{})
+	o.Submit(ClassDeep, 9, func() { close(started); <-gate })
+	<-started
 	// Shard 0 floods the queue before shard 1 adds two tasks; fairness
 	// means shard 1 is served every other slot, not after the flood.
 	for i := 0; i < 4; i++ {

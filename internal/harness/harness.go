@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bgsched"
 	"repro/internal/histogram"
 	"repro/internal/lsm"
 	"repro/internal/metrics"
@@ -90,15 +89,15 @@ type Spec struct {
 	// store-wide scan-resistant cache. The baseline side of the
 	// shared-cache comparison.
 	CacheSplit bool
-	// BackgroundWorkers sizes the shared background flush/compaction
-	// pool: 0 takes the default (min(GOMAXPROCS, shards+2), floor 2),
-	// negative restores the legacy free background goroutines per
-	// engine — the pre-pool baseline the scheduler experiments compare
-	// against.
+	// BackgroundWorkers sizes a sharded run's shared background
+	// flush/compaction pool: 0 takes the default (min(GOMAXPROCS,
+	// shards+2), floor 2). Negative is an error, and so is a positive
+	// value with Shards <= 1: a single-instance engine runs on its
+	// private pool of the default size, or on Engine.Scheduler.
 	BackgroundWorkers int
 	// MaxSubcompactions caps the parallel key-range slices one leveled
-	// compaction may split into when the pool is on (0: up to the pool
-	// size; 1: monolithic).
+	// compaction may split into (0: up to the pool size; 1: monolithic,
+	// the paper's baseline).
 	MaxSubcompactions int
 	// Seed makes the run deterministic.
 	Seed int64
@@ -253,10 +252,15 @@ func Run(spec Spec) (Result, error) {
 }
 
 // openEngine opens the spec's engine — sharded or single-instance — on
-// fresh MemFS instances. cleanup closes the engine and, on the
-// single-instance path, the private background pool built for it (the
-// shard layer owns its pool).
+// fresh MemFS instances. cleanup closes it, and with it the background
+// pool it built.
 func openEngine(spec Spec) (db Engine, cleanup func(), err error) {
+	if spec.BackgroundWorkers < 0 {
+		return nil, nil, fmt.Errorf("harness: BackgroundWorkers is %d; it sizes the background pool and must be 0 (default size) or positive", spec.BackgroundWorkers)
+	}
+	if spec.BackgroundWorkers > 0 && spec.Shards <= 1 {
+		return nil, nil, fmt.Errorf("harness: BackgroundWorkers is %d, but only a sharded run sizes its pool; a single-instance run uses its engine's private pool (Engine.Scheduler takes a caller-owned one)", spec.BackgroundWorkers)
+	}
 	opts := spec.Engine
 	opts.Seed = spec.Seed
 	if spec.Shards > 1 {
@@ -292,29 +296,12 @@ func openEngine(spec Spec) (db Engine, cleanup func(), err error) {
 	fs := vfs.NewMemFS()
 	fs.Latency = spec.Latency
 	opts.FS = fs
-	var pool *bgsched.Pool
-	if opts.Scheduler == nil && spec.BackgroundWorkers >= 0 {
-		w := spec.BackgroundWorkers
-		if w == 0 {
-			w = bgsched.DefaultWorkers(1)
-		}
-		pool = bgsched.NewPool(w)
-		opts.Scheduler = pool
-		opts.MaxSubcompactions = spec.MaxSubcompactions
-	}
+	opts.MaxSubcompactions = spec.MaxSubcompactions
 	db, err = lsm.Open(opts)
 	if err != nil {
-		if pool != nil {
-			pool.Close()
-		}
 		return nil, nil, err
 	}
-	return db, func() {
-		db.Close()
-		if pool != nil {
-			pool.Close()
-		}
-	}, nil
+	return db, func() { db.Close() }, nil
 }
 
 // partitioner maps Spec.Partitioner onto a shard-layer partitioner.

@@ -2,22 +2,32 @@ package harness
 
 import (
 	"io"
+	"strings"
 	"testing"
 
+	"repro/internal/bgsched"
 	"repro/internal/workload"
 )
 
-// TestRunIngestPhases: both phases are timed, the counters move, and
-// the legacy and pool configurations agree on the amount of work done.
+// TestRunIngestPhases: both phases are timed, the counters move, the
+// monolithic and sliced configurations of a single instance on a
+// caller-owned 2-worker pool agree on the amount of work done, and a
+// pool size the run cannot honour is rejected rather than remapped.
 func TestRunIngestPhases(t *testing.T) {
 	s := Scale{Keys: 6_000, Ops: 12_000, MemtableBytes: 64 << 10, Threads: 4}
+	pool := bgsched.NewPool(2)
+	defer pool.Close()
 	for _, cfg := range []struct {
 		name    string
-		workers int
+		pool    *bgsched.Pool // Engine.Scheduler
+		workers int           // Spec.BackgroundWorkers
 		subcomp int
+		wantErr string
 	}{
-		{"legacy", -1, 1},
-		{"pool", 2, 2},
+		{"pool-2w-monolithic", pool, 0, 1, ""},
+		{"pool-2w", pool, 0, 2, ""},
+		{"negative-workers", nil, -1, 1, "BackgroundWorkers is -1"},
+		{"unsharded-sized", nil, 2, 1, "only a sharded run sizes its pool"},
 	} {
 		spec := Spec{
 			Name:                cfg.name,
@@ -30,7 +40,14 @@ func TestRunIngestPhases(t *testing.T) {
 			MaxSubcompactions:   cfg.subcomp,
 			Seed:                7,
 		}
+		spec.Engine.Scheduler = cfg.pool
 		res, err := RunIngest(spec)
+		if cfg.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), cfg.wantErr) {
+				t.Fatalf("%s: err = %v, want one containing %q", cfg.name, err, cfg.wantErr)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}

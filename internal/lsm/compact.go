@@ -12,24 +12,6 @@ import (
 	"repro/internal/wal"
 )
 
-// compactLoop runs compactions until the tree is in shape or TRIAD-DISK
-// defers (paper §4.2: "If the L0 and L1 SSTables do not have enough key
-// overlap, compaction is delayed until more L0 SSTables are generated").
-func (db *DB) compactLoop() error {
-	for {
-		db.mu.Lock()
-		closed := db.closed
-		db.mu.Unlock()
-		if closed {
-			return nil
-		}
-		ran, err := db.compactOnceLocked(false)
-		if err != nil || !ran {
-			return err
-		}
-	}
-}
-
 // compactOnceLocked picks and runs one compaction under compactionMu.
 // force bypasses a TRIAD-DISK deferral by merging whatever L0 holds.
 func (db *DB) compactOnceLocked(force bool) (bool, error) {
@@ -89,12 +71,12 @@ func (db *DB) CompactAll() error {
 // updates"; safe because the memtable version is strictly newer and is
 // durable in the current commit log).
 //
-// With a scheduler attached, a large leveled compaction is partitioned
-// into disjoint key-range slices (boundaries from the input tables'
-// block indexes) merged in parallel on the pool; the slices' outputs
-// are concatenated — they are disjoint and in key order — and installed
-// as the same single atomic manifest edit a monolithic merge produces,
-// so snapshots and zombie refcounts never see a half-installed split.
+// A large leveled compaction is partitioned into disjoint key-range
+// slices (boundaries from the input tables' block indexes) merged in
+// parallel on the pool; the slices' outputs are concatenated — they are
+// disjoint and in key order — and installed as the same single atomic
+// manifest edit a monolithic merge produces, so snapshots and zombie
+// refcounts never see a half-installed split.
 func (db *DB) runCompaction(job *compaction.Job) error {
 	start := time.Now()
 	defer func() { db.met.CompactionNanos.Add(time.Since(start).Nanoseconds()) }()
@@ -161,7 +143,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	// Size-tiered merges (output level == input level) must stay
 	// monolithic: they produce exactly one table.
 	slices := []compaction.Slice{{}}
-	if outLevel != job.Level && db.sched != nil {
+	if outLevel != job.Level {
 		maxSub := db.opts.MaxSubcompactions
 		if maxSub <= 0 {
 			maxSub = db.opts.Scheduler.Workers()

@@ -76,26 +76,27 @@ type DB struct {
 	cache    *sstable.Handle // this DB's tenant view of the block cache
 
 	// compactionMu serializes compaction pick+run cycles between the
-	// background worker and explicit CompactOnce/CompactAll callers, so
-	// no two compactions can consume the same files.
+	// background compaction task and explicit CompactOnce/CompactAll
+	// callers, so no two compactions can consume the same files.
 	compactionMu sync.Mutex
 
 	bgErr error // first background error; surfaced on subsequent ops
-	bgWG  sync.WaitGroup
 
-	// sched is this engine's handle on the shared background pool (nil
-	// in the classic two-goroutine mode). flushActive and compactQueued
-	// (guarded by mu) keep at most one flush task draining the queue
-	// and one compaction task queued at a time, so a burst of seals
-	// does not pile duplicate tasks onto the pool.
-	sched         *bgsched.Owner
-	flushActive   bool
-	compactQueued bool
+	// sched is this engine's handle on the background pool; pool is set
+	// only when Open built a private pool, which Close tears down.
+	// flushActive and compacting (guarded by mu) keep at most one flush
+	// task and one compaction task in the pool, queued or running, so a
+	// burst of seals does not pile duplicate tasks onto it; compactAgain
+	// records a compaction request that arrived mid-round.
+	sched        *bgsched.Owner
+	pool         *bgsched.Pool
+	flushActive  bool
+	compacting   bool
+	compactAgain bool
 
-	compactRequested bool
-	flushing         int // immutables currently being flushed
-	seedCounter      int64
-	hotFrac          float64 // live TRIAD-MEM hot budget (auto-tunable)
+	flushing    int // immutables currently being flushed
+	seedCounter int64
+	hotFrac     float64 // live TRIAD-MEM hot budget (auto-tunable)
 
 	// l0Count caches len(version.Levels[0]) for the write-stall check
 	// without taking versionMu on the write path.
@@ -147,28 +148,18 @@ func Open(opts Options) (*DB, error) {
 	if err := db.recover(); err != nil {
 		return nil, err
 	}
-	if opts.Scheduler != nil {
-		// Shared-pool mode: background work runs as pool tasks instead
-		// of private goroutines. A recovered tree may already be over
-		// its compaction triggers (e.g. many L0 files); queue a round
-		// immediately.
-		db.sched = opts.Scheduler.NewOwner()
-		db.mu.Lock()
-		if !opts.DisableAutoCompaction && !opts.DisableBackgroundIO {
-			db.requestCompactLocked()
-		}
-		db.scheduleFlushLocked()
-		db.mu.Unlock()
-		return db, nil
+	if db.opts.Scheduler == nil {
+		// No shared pool: run on a private one sized like a one-shard
+		// store's, torn down by Close.
+		db.pool = bgsched.NewPool(bgsched.DefaultWorkers(1))
+		db.opts.Scheduler = db.pool
 	}
+	db.sched = db.opts.Scheduler.NewOwner()
 	// A recovered tree may already be over its compaction triggers
-	// (e.g. many L0 files); let the worker check immediately.
-	if !opts.DisableAutoCompaction && !opts.DisableBackgroundIO {
-		db.compactRequested = true
-	}
-	db.bgWG.Add(2)
-	go db.flushWorker()
-	go db.compactionWorker()
+	// (e.g. many L0 files); queue a round immediately.
+	db.mu.Lock()
+	db.requestCompactLocked()
+	db.mu.Unlock()
 	return db, nil
 }
 
@@ -611,14 +602,13 @@ func (db *DB) Close() error {
 	db.closed = true
 	db.cond.Broadcast()
 	db.mu.Unlock()
-	if db.sched != nil {
-		// Cancel queued tasks and wait out running ones, then drain any
-		// immutables a purged flush task left behind — exactly what the
-		// classic flush worker does on its way out.
-		db.sched.Close()
-		db.drainImmutablesOnClose()
+	// Cancel queued tasks and wait out running ones, then drain any
+	// immutables a purged flush task left behind.
+	db.sched.Close()
+	if db.pool != nil {
+		db.pool.Close()
 	}
-	db.bgWG.Wait()
+	db.drainImmutablesOnClose()
 
 	db.mu.Lock()
 	err := db.bgErr

@@ -12,28 +12,43 @@ import (
 	"repro/internal/wal"
 )
 
-// The engine's background plane has two modes. The classic mode runs
-// two private goroutines, mirroring RocksDB's separate flush and
-// compaction thread pools (§6 credits RocksDB with introducing
-// multi-threaded background work): flushes never queue behind a long
-// compaction, so write stalls reflect flush speed alone. With
-// Options.Scheduler set, the same work runs as tasks on a shared
-// bounded pool instead — flushes at the highest priority class, then
-// compaction rounds — so a store's many engines draw on one centrally
-// arbitrated worker budget and a single compaction can fan out into
-// parallel subcompaction slices. In both modes exactly one compaction
-// runs per engine at a time (compactionMu), which keeps the paper's
-// "% time spent in compaction" directly comparable to wall time.
+// Background work runs as tasks on a bgsched pool: the caller's shared
+// pool (Options.Scheduler) or, without one, a private pool Open builds
+// and Close tears down. Flushes run at the highest priority class and
+// compaction rounds below them, the split RocksDB draws with separate
+// flush and compaction thread pools (§6 credits RocksDB with
+// introducing multi-threaded background work). Each engine keeps at
+// most one flush task and one compaction task in the pool, queued or
+// running, and exactly one compaction runs per engine at a time
+// (compactionMu), which keeps the paper's "% time spent in compaction"
+// directly comparable to wall time. So on a pool of two or more
+// workers serving one engine with MaxSubcompactions 1 (the paper's
+// baseline configuration) a flush never queues behind a compaction and
+// write stalls reflect flush speed alone; with sliced compactions a
+// flush can wait for a running slice to finish.
 
-// flushWorker drains the immutable-memtable queue.
-func (db *DB) flushWorker() {
-	defer db.bgWG.Done()
+// scheduleFlushLocked queues a flush task on the pool unless one is
+// already draining the queue. Caller holds db.mu.
+func (db *DB) scheduleFlushLocked() {
+	if db.flushActive || len(db.imm) == 0 {
+		return
+	}
+	db.flushActive = true
+	if !db.sched.Submit(bgsched.ClassFlush, db.opts.EventShard, db.flushTask) {
+		// Owner closing: Close drains the queue inline.
+		db.flushActive = false
+	}
+}
+
+// flushTask drains the whole immutable queue, so a burst of seals costs
+// one pool slot. It keeps draining after Close flips db.closed, since a
+// sealed memtable's flush must not be lost.
+func (db *DB) flushTask() {
+	db.mu.Lock()
 	for {
-		db.mu.Lock()
-		for !db.closed && len(db.imm) == 0 {
-			db.cond.Wait()
-		}
-		if len(db.imm) == 0 && db.closed {
+		if len(db.imm) == 0 || db.bgErr != nil {
+			db.flushActive = false
+			db.cond.Broadcast()
 			db.mu.Unlock()
 			return
 		}
@@ -58,121 +73,48 @@ func (db *DB) flushWorker() {
 		if err != nil && db.bgErr == nil {
 			db.bgErr = err
 		}
-		if !db.opts.DisableAutoCompaction && !disable {
-			db.compactRequested = true
-		}
-		db.cond.Broadcast()
-		db.mu.Unlock()
-	}
-}
-
-// compactionWorker runs compaction rounds whenever a flush requests one.
-func (db *DB) compactionWorker() {
-	defer db.bgWG.Done()
-	for {
-		db.mu.Lock()
-		for !db.closed && !db.compactRequested {
-			db.cond.Wait()
-		}
-		if db.closed {
-			db.mu.Unlock()
-			return
-		}
-		db.compactRequested = false
-		db.mu.Unlock()
-		if err := db.compactLoop(); err != nil {
-			db.mu.Lock()
-			if db.bgErr == nil {
-				db.bgErr = err
-			}
-			db.cond.Broadcast()
-			db.mu.Unlock()
-		}
-	}
-}
-
-// scheduleFlushLocked queues a flush task on the shared pool unless one
-// is already draining the queue (or the engine runs the classic
-// workers). Caller holds db.mu.
-func (db *DB) scheduleFlushLocked() {
-	if db.sched == nil || db.flushActive || len(db.imm) == 0 {
-		return
-	}
-	db.flushActive = true
-	if !db.sched.Submit(bgsched.ClassFlush, db.opts.EventShard, db.flushTask) {
-		// Owner closing: Close drains the queue inline.
-		db.flushActive = false
-	}
-}
-
-// flushTask is the pool-scheduled counterpart of flushWorker: one task
-// drains the whole immutable queue, so a burst of seals costs one pool
-// slot, and — like the classic worker — it keeps draining after Close
-// flips db.closed, since a sealed memtable's flush must not be lost.
-func (db *DB) flushTask() {
-	db.mu.Lock()
-	for {
-		if len(db.imm) == 0 || db.bgErr != nil {
-			db.flushActive = false
-			db.cond.Broadcast()
-			db.mu.Unlock()
-			return
-		}
-		imm := db.imm[0]
-		db.flushing++
-		disable := db.opts.DisableBackgroundIO
-		db.mu.Unlock()
-
-		var err error
-		if disable {
-			err = db.discardImmutable(imm)
-		} else {
-			err = db.flushImmutable(imm)
-		}
-
-		db.mu.Lock()
-		db.imm = db.imm[1:]
-		db.flushing--
-		if err != nil && db.bgErr == nil {
-			db.bgErr = err
-		}
-		if err == nil && !db.opts.DisableAutoCompaction && !disable {
+		if err == nil && !disable {
 			db.requestCompactLocked()
 		}
 		db.cond.Broadcast()
 	}
 }
 
-// requestCompactLocked asks for a background compaction round: in
-// classic mode it arms the compaction worker's flag; in pool mode it
-// queues one compaction task, classed by urgency — L0 at its trigger
-// outranks deeper-level shaping. Caller holds db.mu.
+// requestCompactLocked asks for a background compaction round, classed
+// by urgency: L0 at its trigger outranks deeper-level shaping. A
+// request finding the engine's compaction task still queued is absorbed
+// by it; one arriving mid-round sets compactAgain, and the task
+// re-queues itself once when the round ends. A second task would only
+// park a pool worker on compactionMu, where it could hold up the next
+// flush. Caller holds db.mu.
 func (db *DB) requestCompactLocked() {
-	if db.sched == nil {
-		db.compactRequested = true
+	if db.closed || db.opts.DisableAutoCompaction || db.opts.DisableBackgroundIO {
 		return
 	}
-	if db.compactQueued || db.closed || db.opts.DisableAutoCompaction || db.opts.DisableBackgroundIO {
+	if db.compacting {
+		db.compactAgain = true
 		return
 	}
 	class := bgsched.ClassDeep
 	if int(db.l0Count.Load()) >= db.opts.L0CompactionTrigger {
 		class = bgsched.ClassL0
 	}
-	db.compactQueued = true
+	db.compacting = true
 	if !db.sched.Submit(class, db.opts.EventShard, db.compactTask) {
-		db.compactQueued = false
+		db.compacting = false
 	}
 }
 
-// compactTask runs ONE compaction round, then — if the round did work —
-// re-queues itself, yielding its worker between rounds so a shard with
-// a deep backlog cannot monopolize the pool the way an in-task loop
-// would.
+// compactTask runs ONE compaction round, then re-queues itself if the
+// round did work or a request arrived while it ran (paper §4.2: a
+// TRIAD-DISK deferral ends the chain until the next flush). Yielding
+// the worker between rounds keeps a shard with a deep backlog from
+// monopolizing the pool the way an in-task loop would.
 func (db *DB) compactTask() {
 	db.mu.Lock()
-	db.compactQueued = false
+	db.compactAgain = false
 	if db.closed || db.bgErr != nil {
+		db.compacting = false
 		db.mu.Unlock()
 		return
 	}
@@ -180,6 +122,7 @@ func (db *DB) compactTask() {
 	ran, err := db.compactOnceLocked(false)
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.compacting = false
 	if err != nil {
 		if db.bgErr == nil {
 			db.bgErr = err
@@ -187,14 +130,13 @@ func (db *DB) compactTask() {
 		db.cond.Broadcast()
 		return
 	}
-	if ran {
+	if ran || db.compactAgain {
 		db.requestCompactLocked()
 	}
 }
 
 // drainImmutablesOnClose flushes (or discards) whatever the purged
-// flush task left queued, preserving the classic worker's close-time
-// guarantee that no sealed memtable is dropped.
+// flush task left queued, so Close drops no sealed memtable.
 func (db *DB) drainImmutablesOnClose() {
 	db.mu.Lock()
 	for len(db.imm) > 0 && db.bgErr == nil {

@@ -103,20 +103,20 @@ type Options struct {
 	// MinMergeWidth / MaxMergeWidth bound a size-tiered merge.
 	MinMergeWidth, MaxMergeWidth int
 
-	// Scheduler, when non-nil, replaces the engine's two private
-	// background goroutines with tasks on a shared worker pool: flushes
-	// and compaction rounds are submitted by priority class (flush >
-	// L0→L1 > deeper levels), labeled with EventShard for per-shard
-	// fairness, and large leveled compactions split into parallel
-	// subcompaction slices (see MaxSubcompactions). The caller owns the
-	// pool; the sharded store injects one store-wide pool so N shards'
-	// background I/O is centrally arbitrated. nil preserves the classic
-	// two-goroutine-per-DB behaviour, kept as the measurable baseline.
+	// Scheduler is the worker pool the engine's background work runs
+	// on: flushes and compaction rounds are submitted by priority class
+	// (flush > L0→L1 > deeper levels), labeled with EventShard for
+	// per-shard fairness, and large leveled compactions split into
+	// parallel subcompaction slices (see MaxSubcompactions). A non-nil
+	// pool is caller-owned; the sharded store injects one store-wide
+	// pool so N shards' background I/O is centrally arbitrated. nil
+	// makes Open build a private pool of bgsched.DefaultWorkers(1)
+	// workers, which Close tears down.
 	Scheduler *bgsched.Pool
 	// MaxSubcompactions caps how many parallel key-range slices one
 	// leveled compaction may split into. 0 means "up to the pool's
-	// worker count"; 1 disables splitting. Only consulted when
-	// Scheduler is set — the baseline's compactions are monolithic.
+	// worker count"; 1 disables splitting, which together with a pool
+	// of two or more workers is the paper's RocksDB baseline.
 	MaxSubcompactions int
 
 	// DisableBackgroundIO reproduces Figure 2's "RocksDB No BG I/O":

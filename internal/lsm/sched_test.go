@@ -3,7 +3,9 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,9 +124,9 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 }
 
 // TestSubcompactionEqualsMonolithic: the same workload compacted with
-// parallel key-range slices and with the legacy monolithic merge yields
-// the identical key/value sequence, and a snapshot pinned across the
-// split compactions keeps its frozen view.
+// parallel key-range slices and with monolithic merges (MaxSubcompactions
+// 1, the paper's baseline) yields the identical key/value sequence, and
+// a snapshot pinned across the split compactions keeps its frozen view.
 func TestSubcompactionEqualsMonolithic(t *testing.T) {
 	type entry struct{ k, v string }
 	load := func(t *testing.T, db *DB) *Snapshot {
@@ -184,10 +186,13 @@ func TestSubcompactionEqualsMonolithic(t *testing.T) {
 	snapA := load(t, dbA)
 	defer snapA.Close()
 
-	// Monolithic: the legacy nil-scheduler engine.
+	// Monolithic: the same pool size with splitting disabled.
 	fsB := vfs.NewMemFS()
-	oB := smallOptions(fsB)
+	oB, poolB := schedOptions(fsB, 4)
+	defer poolB.Close()
+	oB.MaxSubcompactions = 1
 	oB.DisableAutoCompaction = true
+	oB.Events = obs.NewJournal(256)
 	dbB := mustOpen(t, oB)
 	defer dbB.Close()
 	snapB := load(t, dbB)
@@ -201,6 +206,11 @@ func TestSubcompactionEqualsMonolithic(t *testing.T) {
 	}
 	if !split {
 		t.Fatal("no compaction actually split into subcompactions; differential is vacuous")
+	}
+	for _, e := range oB.Events.Events(0) {
+		if e.Kind == obs.EventCompaction && strings.Contains(e.Detail, "subcompaction") {
+			t.Fatalf("MaxSubcompactions 1 still split a compaction: %s", e.Detail)
+		}
 	}
 
 	gotA, gotB := dump(t, dbA), dump(t, dbB)
@@ -281,5 +291,158 @@ func TestSchedulerModeBasics(t *testing.T) {
 		if want := fmt.Sprintf("v%d", i); string(v) != want {
 			t.Fatalf("after reopen, %s = %q, want %q", k, v, want)
 		}
+	}
+}
+
+// gateFS lets the first `pass` sstable Creates through and blocks the
+// next one until release is closed, signalling held when it does — a
+// way to hold a compaction at its first output table.
+type gateFS struct {
+	vfs.FS
+	mu      sync.Mutex
+	pass    int
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (g *gateFS) Create(name string) (vfs.File, error) {
+	if strings.HasSuffix(name, ".sst") {
+		g.mu.Lock()
+		g.pass--
+		block := g.pass == -1
+		g.mu.Unlock()
+		if block {
+			close(g.held)
+			<-g.release
+		}
+	}
+	return g.FS.Create(name)
+}
+
+// waitQueueEmpty waits until every task submitted to pool has been taken
+// by a worker.
+func waitQueueEmpty(t *testing.T, pool *bgsched.Pool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for pool.Stats().QueuedTotal() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool queue never drained: %+v", pool.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlushNotQueuedBehindCompaction: in the paper's baseline background
+// configuration — a 2-worker pool, monolithic compactions — a flush
+// never waits for a compaction. The engine's compaction is held at its
+// first output table while two more memtables are sealed; both flushes
+// must finish and the immutable queue drain before it is released. A
+// second compaction task for the same engine would take the free worker
+// and park on compactionMu, leaving the second flush no worker at all.
+func TestFlushNotQueuedBehindCompaction(t *testing.T) {
+	gate := &gateFS{FS: vfs.NewMemFS(), pass: 1, held: make(chan struct{}), release: make(chan struct{})}
+	pool := bgsched.NewPool(2)
+	defer pool.Close()
+	o := DefaultOptions(gate)
+	o.L0CompactionTrigger = 1
+	o.Scheduler = pool
+	o.MaxSubcompactions = 1
+	db := mustOpen(t, o)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer db.Close()
+	defer release()
+
+	fill := func(round int) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			key := fmt.Sprintf("r%d-key-%03d", round, i)
+			if err := db.Put([]byte(key), bytes.Repeat([]byte{byte(round)}, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// The first flush writes L0's only table (the one sstable Create let
+	// through); L0 is then at its trigger, and the compaction it requests
+	// blocks creating its output.
+	fill(0)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("compaction never reached its output table")
+	}
+
+	for round := 1; round <= 2; round++ {
+		// Whatever the previous flush submitted must reach a worker
+		// first, so a parked duplicate compaction task shows up as a
+		// busy worker rather than a queued task that a new flush could
+		// overtake.
+		waitQueueEmpty(t, pool)
+		fill(round)
+		done := make(chan error, 1)
+		go func() { done <- db.Flush() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("flush %d queued behind the held compaction (pool %+v)", round, pool.Stats())
+		}
+	}
+	db.mu.Lock()
+	queued := len(db.imm)
+	db.mu.Unlock()
+	if queued != 0 {
+		t.Fatalf("%d immutables still queued while the compaction is held", queued)
+	}
+	if got := db.Metrics().Flushes; got != 3 {
+		t.Fatalf("Flushes = %d before release, want 3", got)
+	}
+
+	release()
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Metrics().Compactions == 0 {
+		t.Fatal("no compaction ran")
+	}
+	for round := 0; round <= 2; round++ {
+		key := fmt.Sprintf("r%d-key-%03d", round, 42)
+		if _, err := db.Get([]byte(key)); err != nil {
+			t.Fatalf("lost %s: %v", key, err)
+		}
+	}
+}
+
+// TestCloseReleasesPrivatePool: an engine opened without a Scheduler runs
+// on a private pool that Close tears down, so repeated open/close cycles
+// leave no goroutines behind.
+func TestCloseReleasesPrivatePool(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		db := mustOpen(t, smallOptions(vfs.NewMemFS()))
+		if db.pool == nil || db.opts.Scheduler != db.pool {
+			t.Fatal("Open without a Scheduler built no private pool")
+		}
+		for j := 0; j < 300; j++ {
+			if err := db.Put([]byte(fmt.Sprintf("key-%04d", j)), bytes.Repeat([]byte{1}, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after Close, %d before the first Open", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

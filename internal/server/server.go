@@ -92,8 +92,7 @@ type Store interface {
 	// disabled.
 	IOBySource() obs.LedgerSnapshot
 	// Scheduler is the store's shared background worker pool, exported
-	// as the triad_bg_* series. Nil when the store runs the legacy
-	// per-shard background goroutines.
+	// as the triad_bg_* series.
 	Scheduler() *bgsched.Pool
 	// CompactionDebt is the store-wide pending-compaction byte
 	// estimate — the backlog the background pool is draining.

@@ -92,10 +92,8 @@ type Options struct {
 	// BackgroundWorkers sizes the store-wide background worker pool
 	// shared by every shard's flushes and compactions (with priority
 	// classes and per-shard fairness; see internal/bgsched). 0 means
-	// the default min(GOMAXPROCS, shards+2), floored at 2; a negative
-	// value disables the pool and keeps the seed's two private
-	// goroutines per shard — the measurable baseline. Ignored when
-	// Scheduler is set.
+	// the default min(GOMAXPROCS, shards+2), floored at 2; negative is
+	// an error. Ignored when Scheduler is set.
 	BackgroundWorkers int
 	// Scheduler, when non-nil, is a caller-owned pool shared even wider
 	// than this store (e.g. several stores on one machine). The store
@@ -103,7 +101,7 @@ type Options struct {
 	Scheduler *bgsched.Pool
 	// MaxSubcompactions caps how many parallel key-range slices one
 	// compaction may split into; 0 means up to the pool's worker count,
-	// 1 disables splitting. Meaningless without a pool.
+	// 1 disables splitting.
 	MaxSubcompactions int
 }
 
@@ -182,9 +180,9 @@ type DB struct {
 	// when caching is disabled or SplitBlockCache keeps per-shard LRUs).
 	cache *sstable.Cache
 
-	// sched is the store-wide background worker pool (nil in the
-	// legacy two-goroutines-per-shard mode); ownSched records whether
-	// Close should tear it down (false when the caller injected it).
+	// sched is the store-wide background worker pool; ownSched records
+	// whether Close should tear it down (false when the caller injected
+	// it).
 	sched    *bgsched.Pool
 	ownSched bool
 }
@@ -202,6 +200,9 @@ func Open(o Options) (*DB, error) {
 	}
 	if o.NewFS == nil {
 		return nil, errors.New("shard: Options.NewFS is required")
+	}
+	if o.BackgroundWorkers < 0 {
+		return nil, fmt.Errorf("shard: BackgroundWorkers is %d; it sizes the background pool and must be 0 (default size) or positive", o.BackgroundWorkers)
 	}
 	fses := make([]vfs.FS, o.Shards)
 	for i := range fses {
@@ -238,17 +239,15 @@ func Open(o Options) (*DB, error) {
 		db.cache = sstable.NewCache(o.Engine.BlockCacheBytes * int64(o.Shards))
 	}
 	// One store-wide background pool arbitrates every shard's flushes
-	// and compactions (the same centralization PR 7 gave the block
-	// cache); a caller-supplied pool wins, a negative worker count
-	// keeps the legacy two-goroutines-per-shard plane.
-	db.sched = o.Scheduler
-	if db.sched == nil && o.BackgroundWorkers >= 0 {
+	// and compactions (the same centralization the shared block cache
+	// gives reads); a caller-supplied pool wins.
+	db.sched, db.ownSched = o.Scheduler, o.Scheduler == nil
+	if db.ownSched {
 		w := o.BackgroundWorkers
 		if w == 0 {
 			w = bgsched.DefaultWorkers(o.Shards)
 		}
 		db.sched = bgsched.NewPool(w)
-		db.ownSched = true
 	}
 	for i, fs := range fses {
 		eo := o.Engine
@@ -616,15 +615,13 @@ func (db *DB) closeAll() error {
 	// The pool outlives the shards: each shard's Close cancels its own
 	// owner (waiting out its running tasks) first, so by now the pool
 	// is idle and tearing it down cannot strand engine work.
-	if db.ownSched && db.sched != nil {
+	if db.ownSched {
 		db.sched.Close()
-		db.sched = nil
 	}
 	return err
 }
 
-// Scheduler exposes the store-wide background pool (nil in the legacy
-// per-shard-goroutines mode).
+// Scheduler exposes the store-wide background pool.
 func (db *DB) Scheduler() *bgsched.Pool { return db.sched }
 
 // fanOut runs fn on every shard concurrently and returns the first

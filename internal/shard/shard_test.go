@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -465,6 +466,11 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Fatalf("factory called %d times, want 3", calls)
+	}
+	// A negative pool size is an error, not a silent remap.
+	_, err = Open(Options{Shards: 2, Engine: smallEngine(), NewFS: MemFS(), BackgroundWorkers: -1})
+	if err == nil || !strings.Contains(err.Error(), "BackgroundWorkers is -1") {
+		t.Fatalf("Open with BackgroundWorkers -1 = %v, want a descriptive error", err)
 	}
 	// Shards < 1 degrades to a single shard.
 	db, err := Open(Options{Shards: 0, Engine: smallEngine(), NewFS: MemFS()})

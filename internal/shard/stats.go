@@ -195,14 +195,12 @@ func (db *DB) Stats() string {
 		m.WriteAmplification(), m.FlushRelativeWA(), m.ReadAmplification())
 	fmt.Fprintf(&b, "compaction debt: %d bytes  write stalls: %d (%s total)\n",
 		db.CompactionDebt(), m.WriteStalls, m.WriteStallTime)
-	if ps := db.sched; ps != nil {
-		s := ps.Stats()
-		fmt.Fprintf(&b, "background pool: %d workers (%d busy), queued", s.Workers, s.Busy)
-		for c := 0; c < bgsched.NumClasses; c++ {
-			fmt.Fprintf(&b, " %s=%d", bgsched.Class(c), s.Queued[c])
-		}
-		fmt.Fprintf(&b, ", %d tasks completed\n", s.Completed)
+	ps := db.sched.Stats()
+	fmt.Fprintf(&b, "background pool: %d workers (%d busy), queued", ps.Workers, ps.Busy)
+	for c := 0; c < bgsched.NumClasses; c++ {
+		fmt.Fprintf(&b, " %s=%d", bgsched.Class(c), ps.Queued[c])
 	}
+	fmt.Fprintf(&b, ", %d tasks completed\n", ps.Completed)
 	if io := db.IOBySource(); io[obs.SrcUser] > 0 {
 		ub := float64(io[obs.SrcUser])
 		fmt.Fprintf(&b, "WA decomposition (per user byte): wal %.2f + flush %.2f + compaction %.2f  [compaction read %d B, snapshot-gc reclaimed %d B]\n",

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bgsched"
 	"repro/internal/lsm"
 	"repro/internal/memtable"
 	"repro/internal/metrics"
@@ -92,16 +91,16 @@ type Options struct {
 	// i owns [RangeSplits[i-1], RangeSplits[i]), the last shard owns the
 	// tail. Ignored by "hash".
 	RangeSplits [][]byte
-	// BackgroundWorkers sizes the store's shared background worker pool:
+	// BackgroundWorkers sizes a ShardFS store's background worker pool:
 	// one bounded pool runs every shard's flushes and compactions with
-	// flush-first priority and per-shard fairness, instead of two free
-	// goroutines per shard. 0 sizes it min(GOMAXPROCS, shards+2) with a
-	// floor of 2; negative restores the legacy per-shard goroutines (no
-	// pool, no parallel subcompactions).
+	// flush-first priority and per-shard fairness. 0 sizes it
+	// min(GOMAXPROCS, shards+2) with a floor of 2. Negative is an error,
+	// and so is a positive value without ShardFS: an unsharded store
+	// always runs on its engine's private pool of the default size.
 	BackgroundWorkers int
 	// MaxSubcompactions caps how many parallel slices one leveled
-	// compaction may split into when the pool is on. 0 allows up to the
-	// pool's worker count; 1 keeps compactions monolithic.
+	// compaction may split into. 0 allows up to the pool's worker
+	// count; 1 keeps compactions monolithic.
 	MaxSubcompactions int
 	// Advanced, when non-nil, is used verbatim (FS must still be set;
 	// under Shards > 1 it is the per-shard template instead).
@@ -191,9 +190,6 @@ type DB struct {
 	inner   engine
 	newIter func(start, limit []byte) (Iterator, error)
 	newSnap func() (*Snapshot, error)
-	// ownPool is the private background pool built for an unsharded
-	// store (the shard layer owns its own); closed after the engine.
-	ownPool *bgsched.Pool
 }
 
 // ErrNotFound is returned by Get for absent or deleted keys.
@@ -232,6 +228,12 @@ func Open(o Options) (*DB, error) {
 	}
 	if o.Shards > 1 && o.ShardFS == nil {
 		return nil, errors.New("triad: Shards > 1 requires ShardFS (use ShardMemFS or ShardDirs)")
+	}
+	if o.BackgroundWorkers < 0 {
+		return nil, fmt.Errorf("triad: BackgroundWorkers is %d; it sizes the background pool and must be 0 (default size) or positive", o.BackgroundWorkers)
+	}
+	if o.BackgroundWorkers > 0 && o.ShardFS == nil {
+		return nil, fmt.Errorf("triad: BackgroundWorkers is %d, but only a ShardFS store sizes its pool; an unsharded store runs on its engine's private pool (Advanced.Scheduler takes a caller-owned one)", o.BackgroundWorkers)
 	}
 	// Validate the partitioner knobs whether or not they will be used:
 	// silently dropping a requested routing configuration is exactly the
@@ -272,33 +274,19 @@ func Open(o Options) (*DB, error) {
 			newSnap: wrapSnap(inner.NewSnapshot, (*shard.Snapshot).NewIterator, (*shard.Snapshot).Epoch),
 		}, nil
 	}
-	// Unsharded stores get a private pool of their own (closed with the
-	// DB) unless the caller opted back into the legacy goroutines or
-	// supplied a pool through Advanced.
-	var ownPool *bgsched.Pool
-	if opts.Scheduler == nil && o.BackgroundWorkers >= 0 {
-		w := o.BackgroundWorkers
-		if w == 0 {
-			w = bgsched.DefaultWorkers(1)
-		}
-		ownPool = bgsched.NewPool(w)
-		opts.Scheduler = ownPool
-	}
+	// An unsharded store runs on its engine's private background pool
+	// unless Advanced supplied one.
 	if opts.MaxSubcompactions == 0 {
 		opts.MaxSubcompactions = o.MaxSubcompactions
 	}
 	inner, err := lsm.Open(opts)
 	if err != nil {
-		if ownPool != nil {
-			ownPool.Close()
-		}
 		return nil, err
 	}
 	return &DB{
 		inner:   inner,
 		newIter: wrapIter(inner.NewIterator),
 		newSnap: wrapSnap(inner.NewSnapshot, (*lsm.Snapshot).NewIterator, (*lsm.Snapshot).Seq),
-		ownPool: ownPool,
 	}, nil
 }
 
@@ -446,14 +434,7 @@ func (db *DB) Events() *obs.Journal {
 }
 
 // Close flushes background state and releases all resources.
-func (db *DB) Close() error {
-	err := db.inner.Close()
-	if db.ownPool != nil {
-		db.ownPool.Close()
-		db.ownPool = nil
-	}
-	return err
-}
+func (db *DB) Close() error { return db.inner.Close() }
 
 // Re-exported tuning types for Advanced configuration.
 type (

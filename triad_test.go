@@ -3,8 +3,12 @@ package triad
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/bgsched"
 	"repro/internal/vfs"
 )
 
@@ -230,5 +234,99 @@ func TestPublicAPIPersistence(t *testing.T) {
 func TestOpenWithoutFSFails(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open without FS succeeded")
+	}
+}
+
+// TestBackgroundWorkers: the pool size is validated rather than
+// remapped or rerouted. Only a ShardFS store sizes its pool; an
+// unsharded store keeps its engine's private pool, and a caller-owned
+// pool reaches it only through Advanced.Scheduler, which its Close
+// leaves running.
+func TestBackgroundWorkers(t *testing.T) {
+	callerPool := bgsched.NewPool(3)
+	defer callerPool.Close()
+	advanced := TriadEngineOptions(nil)
+	advanced.MemtableBytes = 16 << 10
+	advanced.Scheduler = callerPool
+	advanced.MaxSubcompactions = 1
+	for _, c := range []struct {
+		name     string
+		opts     Options
+		wantErr  string
+		wantPool string // substring of Stats; "" for an unsharded store
+	}{
+		{"unsharded negative", Options{FS: vfs.NewMemFS(), BackgroundWorkers: -1}, "BackgroundWorkers is -1", ""},
+		{"sharded negative", Options{Shards: 2, ShardFS: ShardMemFS(), BackgroundWorkers: -2}, "BackgroundWorkers is -2", ""},
+		{"unsharded sized", Options{FS: vfs.NewMemFS(), BackgroundWorkers: 3}, "only a ShardFS store sizes its pool", ""},
+		{"unsharded sized with Advanced", Options{FS: vfs.NewMemFS(), Advanced: &advanced, BackgroundWorkers: 3}, "only a ShardFS store sizes its pool", ""},
+		{"sharded sized", Options{Shards: 2, ShardFS: ShardMemFS(), BackgroundWorkers: 3}, "", "background pool: 3 workers"},
+		{"one ShardFS shard sized", Options{ShardFS: ShardMemFS(), BackgroundWorkers: 3}, "", "background pool: 3 workers"},
+		{"unsharded default", Options{FS: vfs.NewMemFS()}, "", ""},
+		{"unsharded caller pool", Options{FS: vfs.NewMemFS(), Advanced: &advanced}, "", ""},
+	} {
+		db, err := Open(c.opts)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("%s: Open = %v, want an error containing %q", c.name, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := db.Put([]byte("k"), []byte(c.name)); err != nil {
+			t.Fatalf("%s: Put: %v", c.name, err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatalf("%s: Flush: %v", c.name, err)
+		}
+		if !strings.Contains(db.Stats(), c.wantPool) {
+			t.Fatalf("%s: pool not sized by BackgroundWorkers:\n%s", c.name, db.Stats())
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", c.name, err)
+		}
+	}
+	// The Advanced store flushed on the caller's pool, and closing it
+	// left that pool running.
+	before := callerPool.Stats().Completed
+	if before == 0 {
+		t.Fatal("the Advanced.Scheduler store ran no task on the caller's pool")
+	}
+	done := make(chan struct{})
+	o := callerPool.NewOwner()
+	if !o.Submit(bgsched.ClassFlush, 0, func() { close(done) }) {
+		t.Fatal("caller's pool refused work after the store closed")
+	}
+	<-done
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseReleasesPool: an unsharded store runs on its engine's private
+// background pool, which Close tears down with it.
+func TestCloseReleasesPool(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		db, err := Open(Options{FS: vfs.NewMemFS(), MemtableBytes: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 300; j++ {
+			if err := db.Put([]byte(fmt.Sprintf("key-%04d", j)), make([]byte, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after Close, %d before the first Open", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
